@@ -10,11 +10,11 @@
 
 #include "bench_common.hpp"
 #include "circuits/nf_biquad.hpp"
-#include "core/atpg.hpp"
 #include "faults/fault_simulator.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "session.hpp"
 
 using namespace ftdiag;
 
@@ -63,8 +63,7 @@ int main() {
   show_transformation(sim, sampler, fault, 500.0, 2000.0);
 
   // ...and the pair the GA would actually pick.
-  core::AtpgFlow flow(cut);
-  const auto result = flow.run();
+  const auto result = SessionBuilder(cut).build().run_search();
   std::printf("\nGA-optimized vector (fitness %.3f, I=%zu):\n",
               result.best.fitness, result.best.intersections);
   show_transformation(sim, sampler, fault,

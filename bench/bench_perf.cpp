@@ -24,7 +24,6 @@
 #include "circuits/ladders.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "core/evaluation_pipeline.hpp"
 #include "faults/dictionary.hpp"
@@ -38,6 +37,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "linalg/sparse.hpp"
+#include "linalg/sparse_factorization.hpp"
 #include "mna/ac_analysis.hpp"
 #include "mna/system.hpp"
 #include "obs/metrics.hpp"
@@ -81,7 +81,7 @@ void BM_SparseComplexLu(benchmark::State& state) {
   }
   std::vector<linalg::Complex> b(n, {1.0, 0.0});
   for (auto _ : state) {
-    linalg::SparseLu<linalg::Complex> lu(coo);
+    const linalg::SparseFactorization<linalg::Complex> lu(coo);
     benchmark::DoNotOptimize(lu.solve(b));
   }
 }
@@ -110,7 +110,7 @@ void BM_AcSolveLadder(benchmark::State& state) {
 BENCHMARK(BM_AcSolveLadder)->Arg(10)->Arg(50)->Arg(149)->Arg(200)->Arg(400);
 
 /// Synthetic frequency-block inputs for the Sherman–Morrison sweep
-/// kernels: moderate magnitudes so no lane refuses and both variants do
+/// kernel: moderate magnitudes so no lane refuses and both pack widths do
 /// the full arithmetic every iteration.
 struct ShermanInputs {
   explicit ShermanInputs(std::size_t count)
@@ -140,12 +140,13 @@ void BM_ShermanSweepScalar(benchmark::State& state) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));
   ShermanInputs in(count);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::sherman_morrison_sweep(
-        count, in.scale_re.data(), in.scale_im.data(), in.vx0_re.data(),
-        in.vx0_im.data(), in.vw_re.data(), in.vw_im.data(), in.x0_re.data(),
-        in.x0_im.data(), in.w_re.data(), in.w_im.data(),
-        linalg::kRank1MaxGrowth, in.out_re.data(), in.out_im.data(),
-        in.refused.data()));
+    benchmark::DoNotOptimize(
+        linalg::sherman_morrison_sweep_simd<linalg::simd::ScalarPack>(
+            count, in.scale_re.data(), in.scale_im.data(), in.vx0_re.data(),
+            in.vx0_im.data(), in.vw_re.data(), in.vw_im.data(),
+            in.x0_re.data(), in.x0_im.data(), in.w_re.data(),
+            in.w_im.data(), linalg::kRank1MaxGrowth, in.out_re.data(),
+            in.out_im.data(), in.refused.data()));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
@@ -406,20 +407,34 @@ BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FullPaperGa(benchmark::State& state) {
-  core::AtpgFlow flow(circuits::make_paper_cut());
+  const Session session = SessionBuilder(circuits::make_paper_cut()).build();
+  (void)session.dictionary();  // build outside the timed loop
   for (auto _ : state) {
-    benchmark::DoNotOptimize(flow.run());
+    benchmark::DoNotOptimize(session.run_search());
   }
 }
 BENCHMARK(BM_FullPaperGa)->Unit(benchmark::kMillisecond);
 
-/// The pre-batch search path: scalar objective, uncached trajectory
-/// building, exact all-pairs intersection sweep, one thread.
-ga::Objective make_serial_objective(const core::TestVectorEvaluator& evaluator) {
-  return [&evaluator](const std::vector<double>& genes) {
-    return evaluator.fitness(Session::to_test_vector(genes));
-  };
-}
+/// The pre-batch search path: one genome at a time on the calling thread,
+/// uncached trajectory building, exact all-pairs intersection sweep.
+class SerialObjective final : public ga::BatchObjective {
+public:
+  explicit SerialObjective(const core::TestVectorEvaluator& evaluator)
+      : evaluator_(evaluator) {}
+
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    std::vector<double> scores;
+    scores.reserve(genomes.size());
+    for (const auto& genes : genomes) {
+      scores.push_back(evaluator_.fitness(Session::to_test_vector(genes)));
+    }
+    return scores;
+  }
+
+private:
+  const core::TestVectorEvaluator& evaluator_;
+};
 
 /// The seed repository's count_intersections, verbatim: per-call segment
 /// extraction, all-pairs sweep, per-conflict records.  Kept here so
@@ -511,7 +526,7 @@ ga::GaConfig bench_ga_config() {
 BENCHMARK_DEFINE_F(TrajectoryFixture, BM_SearchSerial)
 (benchmark::State& state) {
   const auto exact_evaluator = make_exact_evaluator(*dict);
-  const ga::Objective objective = make_serial_objective(exact_evaluator);
+  const SerialObjective objective(exact_evaluator);
   const ga::GeneticAlgorithm ga(bench_ga_config());
   for (auto _ : state) {
     Rng rng(42);
@@ -614,7 +629,8 @@ std::vector<ScalingPoint> run_scaling_sweep(std::size_t grid_points) {
 
 /// Scalar-vs-SIMD wall time of the Sherman–Morrison sweep kernel on one
 /// synthetic frequency block (best of several reps, many passes per rep
-/// so the measurement is well above timer resolution).  The returned
+/// so the measurement is well above timer resolution): the kernel's
+/// ScalarPack instantiation against its DefaultPack one.  The returned
 /// ratio scalar/simd is ~1 in a forced-scalar build (DefaultPack width 1)
 /// and > 1 whenever the vector kernel pays for itself.
 double sherman_kernel_speedup() {
@@ -638,7 +654,7 @@ double sherman_kernel_speedup() {
     return best_ms;
   };
   const double scalar_ms = best_of([&] {
-    return linalg::sherman_morrison_sweep(
+    return linalg::sherman_morrison_sweep_simd<linalg::simd::ScalarPack>(
         kCount, in.scale_re.data(), in.scale_im.data(), in.vx0_re.data(),
         in.vx0_im.data(), in.vw_re.data(), in.vw_im.data(), in.x0_re.data(),
         in.x0_im.data(), in.w_re.data(), in.w_im.data(),
@@ -805,7 +821,7 @@ void write_search_report(const char* path) {
 
   std::size_t evaluations = 0;
   const auto exact_evaluator = make_exact_evaluator(dictionary);
-  const ga::Objective objective = make_serial_objective(exact_evaluator);
+  const SerialObjective objective(exact_evaluator);
   const double serial_ms = best_of([&] {
     Rng rng(42);
     evaluations = ga.optimize(objective, 2, bounds, rng).evaluations;

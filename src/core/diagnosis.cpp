@@ -175,34 +175,4 @@ Diagnosis DiagnosisEngine::diagnose(const Point& observed) const {
   return diagnose_impl<simd::ScalarPack>(trajectories_, soa_, observed);
 }
 
-Diagnosis DiagnosisEngine::diagnose_scalar(const Point& observed) const {
-  if (observed.size() != dimension()) {
-    throw ConfigError("observed point dimension mismatches trajectories");
-  }
-  Diagnosis diagnosis;
-  diagnosis.ranking.reserve(trajectories_.size());
-  for (const auto& trajectory : trajectories_) {
-    const std::vector<Segment> segments = trajectory.segments();
-    TrajectoryMatch match;
-    match.site = trajectory.site();
-    match.distance = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      const Projection proj = project_point(observed, segments[i]);
-      if (proj.distance < match.distance) {
-        match.distance = proj.distance;
-        match.segment_index = i;
-        match.t = proj.t;
-      }
-    }
-    match.estimated_deviation =
-        trajectory.deviation_on_segment(match.segment_index, match.t);
-    diagnosis.ranking.push_back(std::move(match));
-  }
-  std::sort(diagnosis.ranking.begin(), diagnosis.ranking.end(),
-            [](const TrajectoryMatch& a, const TrajectoryMatch& b) {
-              return a.distance < b.distance;
-            });
-  return diagnosis;
-}
-
 }  // namespace ftdiag::core

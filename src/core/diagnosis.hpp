@@ -61,14 +61,9 @@ public:
   ///
   /// The segment scoring runs on the SoA planes below, several segments
   /// per SIMD lane (ScalarPack when the FTDIAG_SIMD knob is off).  Both
-  /// widths evaluate exactly the formulas of diagnose_scalar() in the
+  /// widths evaluate exactly project_point()'s formulas per segment in the
   /// same order, with first-minimal-segment tie-breaking preserved.
   [[nodiscard]] Diagnosis diagnose(const Point& observed) const;
-
-  /// The original per-segment scalar loop over project_point() — the
-  /// differential twin of diagnose(), kept public so tests can pin the
-  /// two against each other on any input.
-  [[nodiscard]] Diagnosis diagnose_scalar(const Point& observed) const;
 
   /// All trajectories' segments flattened into coordinate-major SoA
   /// planes: coordinate k of segment s (global index) lives at

@@ -185,7 +185,7 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
 /// blocked multi-RHS u solve; phase 2 fans the sites out over pack-wide
 /// gathers and the SIMD Sherman–Morrison sweep.  Instantiated once on
 /// the native pack and once on ScalarPack (the runtime FTDIAG_SIMD=off
-/// twin); lanes are arithmetically independent, and batch membership is
+/// path); lanes are arithmetically independent, and batch membership is
 /// width-determined, so results are bit-stable across thread counts.
 template <typename P>
 void reuse_sweep(const circuits::CircuitUnderTest& cut,
@@ -478,8 +478,8 @@ BatchResult SimulationEngine::simulate_all(
     state[si].refactorized.resize(sites[si].fault_indices.size());
   }
 
-  // The batched sweep: native-width packs normally, the width-1 scalar
-  // twin when the FTDIAG_SIMD knob (build option or environment
+  // The batched sweep: native-width packs normally, the width-1 ScalarPack
+  // instantiation when the FTDIAG_SIMD knob (build option or environment
   // variable) turns vectorization off.  Same formulas per lane either
   // way — the configurations differ only in how many frequencies share
   // one instruction.

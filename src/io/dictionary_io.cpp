@@ -218,6 +218,7 @@ faults::FaultDictionary load_dictionary(const std::string& text) {
   std::vector<faults::DictionaryEntry> entries;
   bool have_golden = false;
   for (auto& s : series) {
+    mna::check_frequency_grid(s.freqs, "dictionary file");
     mna::AcResponse response(std::move(s.freqs), std::move(s.values));
     if (s.is_golden) {
       if (have_golden) throw ParseError("duplicate golden series");
@@ -343,10 +344,18 @@ BinaryDictionaryLayout parse_binary_dictionary_layout(std::string_view bytes,
     }
   };
 
-  // Block 1: frequency grid.
+  // Block 1: frequency grid, checked here so every loader and view of the
+  // image rejects a grid AcResponse would refuse.
   layout.frequencies_offset = reader.position();
   (void)reader.need(8 * n_freqs);
   finish_block(layout.frequencies_offset, "frequency");
+  {
+    std::vector<double> freqs(n_freqs);
+    for (std::size_t i = 0; i < n_freqs; ++i) {
+      freqs[i] = load_f64_at(bytes, layout.frequencies_offset + 8 * i);
+    }
+    mna::check_frequency_grid(freqs, "binary dictionary");
+  }
 
   // Block 2: golden values.
   layout.golden_offset = reader.position();

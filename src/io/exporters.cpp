@@ -55,6 +55,7 @@ mna::AcResponse load_measurement_csv(const std::string& text) {
     values.emplace_back(units::parse(row[c_re]), units::parse(row[c_im]));
   }
   if (freqs.empty()) throw ParseError("measurement file has no samples");
+  mna::check_frequency_grid(freqs, "measurement file");
   return mna::AcResponse(std::move(freqs), std::move(values));
 }
 

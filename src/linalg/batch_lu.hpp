@@ -11,8 +11,8 @@
 ///
 /// Lane independence is exact: each lane runs precisely the scalar
 /// algorithm (same pivot-by-|.|^2 search, same unscaled complex division
-/// as sherman_morrison_sweep, same operation order), so BatchLu<ScalarPack>
-/// is the differential twin of BatchLu<NativePack> lane by lane, and
+/// as sherman_morrison_sweep_simd, same operation order), so
+/// BatchLu<ScalarPack> matches BatchLu<NativePack> lane by lane, and
 /// results never depend on which other frequencies share the batch.
 /// Differences against LuFactorization<Complex> are confined to rounding:
 /// the scalar path compares pivots by std::abs (hypot) and divides through

@@ -18,6 +18,31 @@ constexpr double kPivotTolerance = 1e-13;
 /// the active RHS rows stay resident while a panel's columns advance.
 constexpr std::size_t kSolvePanel = 48;
 
+/// acc - a*b, the one multiply-subtract of both triangular solves.  Spelled
+/// out so the single-RHS and blocked loops round identically however the
+/// compiler schedules them: gcc's vectorizer turns a std::complex
+/// `x -= f * y` into a fused complex multiply-add (vfmaddsub) even under
+/// -ffp-contract=off, while the scalar loop rounds the product on its own.
+/// The complex product is therefore formed with explicit fma where the
+/// target has it (which is exactly what a vfmaddsub lane computes) and
+/// with plain multiplies where it does not (no fused instruction exists to
+/// be picked).  It stays off the accumulator chain either way.
+inline double mul_sub(double acc, double a, double b) { return acc - a * b; }
+
+inline std::complex<double> mul_sub(std::complex<double> acc,
+                                    std::complex<double> a,
+                                    std::complex<double> b) {
+  const double ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+#ifdef FP_FAST_FMA
+  const double pr = std::fma(ar, br, -(ai * bi));
+  const double pi = std::fma(ar, bi, ai * br);
+#else
+  const double pr = ar * br - ai * bi;
+  const double pi = ar * bi + ai * br;
+#endif
+  return {acc.real() - pr, acc.imag() - pi};
+}
+
 }  // namespace
 
 template <typename T>
@@ -93,14 +118,14 @@ void LuFactorization<T>::solve_into(std::span<const T> b,
   for (std::size_t i = 0; i < n; ++i) {
     const T* row = lu_.row_data(i);
     T acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * x[j];
+    for (std::size_t j = 0; j < i; ++j) acc = mul_sub(acc, row[j], x[j]);
     x[i] = acc;
   }
   // Back substitution with U.
   for (std::size_t ii = n; ii-- > 0;) {
     const T* row = lu_.row_data(ii);
     T acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= row[j] * x[j];
+    for (std::size_t j = ii + 1; j < n; ++j) acc = mul_sub(acc, row[j], x[j]);
     x[ii] = acc / row[ii];
   }
 }
@@ -131,7 +156,9 @@ void LuFactorization<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
         const T factor = row[j];
         if (factor == T{}) continue;
         const T* xj = x.row_data(j);
-        for (std::size_t c = panel; c < pe; ++c) xi[c] -= factor * xj[c];
+        for (std::size_t c = panel; c < pe; ++c) {
+          xi[c] = mul_sub(xi[c], factor, xj[c]);
+        }
       }
     }
     // Back substitution with U.
@@ -142,7 +169,9 @@ void LuFactorization<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
         const T factor = row[j];
         if (factor == T{}) continue;
         const T* xj = x.row_data(j);
-        for (std::size_t c = panel; c < pe; ++c) xi[c] -= factor * xj[c];
+        for (std::size_t c = panel; c < pe; ++c) {
+          xi[c] = mul_sub(xi[c], factor, xj[c]);
+        }
       }
       const T pivot = row[ii];
       for (std::size_t c = panel; c < pe; ++c) xi[c] /= pivot;

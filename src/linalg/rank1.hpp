@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,60 +119,20 @@ template <typename T>
 /// number of refused entries.
 ///
 /// This is the per-(site, fault) inner loop of the simulation engine,
-/// written as straight-line arithmetic over parallel re/im arrays so the
-/// compiler can vectorize the whole block; it is allocation-free by
-/// construction.  Values agree with the scalar path up to re/im
-/// evaluation-order rounding (the scalar path uses std::complex division);
-/// magnitudes beyond ~1e154 overflow the unscaled |.|^2 here and refuse
-/// conservatively, which only trades a rank-1 update for an exact
-/// refactorization.
-inline std::size_t sherman_morrison_sweep(
-    std::size_t count, const double* scale_re, const double* scale_im,
-    const double* v_x0_re, const double* v_x0_im, const double* v_w_re,
-    const double* v_w_im, const double* x0_re, const double* x0_im,
-    const double* w_re, const double* w_im, double max_growth,
-    double* out_re, double* out_im, unsigned char* refused) {
-  std::size_t refusals = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double sr = scale_re[i];
-    const double si = scale_im[i];
-    const double scaled_re = sr * v_w_re[i] - si * v_w_im[i];
-    const double scaled_im = sr * v_w_im[i] + si * v_w_re[i];
-    const double denom_re = 1.0 + scaled_re;
-    const double denom_im = scaled_im;
-    const double growth =
-        1.0 + std::sqrt(scaled_re * scaled_re + scaled_im * scaled_im);
-    const double denom_sq = denom_re * denom_re + denom_im * denom_im;
-    const double denom_abs = std::sqrt(denom_sq);
-    // Fail closed: non-finite scales/denominators refuse rather than NaN.
-    if (!std::isfinite(growth) || !std::isfinite(denom_abs) ||
-        denom_abs * max_growth < growth) {
-      refused[i] = 1;
-      ++refusals;
-      continue;
-    }
-    refused[i] = 0;
-    const double u_re = sr * v_x0_re[i] - si * v_x0_im[i];
-    const double u_im = sr * v_x0_im[i] + si * v_x0_re[i];
-    const double inv = 1.0 / denom_sq;
-    const double coef_re = (u_re * denom_re + u_im * denom_im) * inv;
-    const double coef_im = (u_im * denom_re - u_re * denom_im) * inv;
-    out_re[i] = x0_re[i] - (coef_re * w_re[i] - coef_im * w_im[i]);
-    out_im[i] = x0_im[i] - (coef_re * w_im[i] + coef_im * w_re[i]);
-  }
-  return refusals;
-}
-
-/// Explicit-SIMD form of sherman_morrison_sweep: identical inputs,
-/// outputs and refusal semantics, but the block is processed P::width
-/// frequencies per pack with a ScalarPack tail for the remainder — so any
-/// count (including 0 and counts below the pack width) is valid and no
-/// padding is required of the caller.  Pointers may sit at any 8-byte
-/// boundary.  Each lane evaluates exactly the scalar loop's formulas
-/// (including the fail-closed non-finite refusal, via a lane mask), so
-/// sherman_morrison_sweep is this kernel's differential twin; the two
-/// agree bit-for-bit up to multiply-add contraction (<= 1e-12 relative,
-/// pinned by tests/test_simd.cpp).
+/// written as straight-line arithmetic over parallel re/im arrays and
+/// allocation-free by construction.  The block is processed P::width
+/// frequencies per pack; the remainder runs through this kernel's own
+/// ScalarPack instantiation, so any count (including 0 and counts below
+/// the pack width) is valid and no padding is required of the caller.
+/// Pointers may sit at any 8-byte boundary.  Every lane evaluates the same
+/// formulas in the same order (including the fail-closed non-finite
+/// refusal, via a lane mask), so the ScalarPack instantiation is the
+/// runtime scalar path of a SIMD build.  Values agree with
+/// sherman_morrison_component up to re/im evaluation-order rounding (that
+/// path uses std::complex division); magnitudes beyond ~1e154 overflow the
+/// unscaled |.|^2 here and refuse conservatively, which only trades a
+/// rank-1 update for an exact refactorization.  tests/oracles.hpp keeps a
+/// plain loop of these formulas as the differential reference.
 template <typename P = simd::DefaultPack>
 inline std::size_t sherman_morrison_sweep_simd(
     std::size_t count, const double* scale_re, const double* scale_im,
@@ -209,17 +170,19 @@ inline std::size_t sherman_morrison_sweep_simd(
         out_re[i + lane] = updated.re[lane];
         out_im[i + lane] = updated.im[lane];
       } else {
-        refused[i + lane] = 1;  // out slot untouched, like the scalar path
+        refused[i + lane] = 1;  // out slot untouched
         ++refusals;
       }
     }
   }
-  if (full < count) {
-    refusals += sherman_morrison_sweep(
-        count - full, scale_re + full, scale_im + full, v_x0_re + full,
-        v_x0_im + full, v_w_re + full, v_w_im + full, x0_re + full,
-        x0_im + full, w_re + full, w_im + full, max_growth, out_re + full,
-        out_im + full, refused + full);
+  if constexpr (!std::is_same_v<P, simd::ScalarPack>) {
+    if (full < count) {
+      refusals += sherman_morrison_sweep_simd<simd::ScalarPack>(
+          count - full, scale_re + full, scale_im + full, v_x0_re + full,
+          v_x0_im + full, v_w_re + full, v_w_im + full, x0_re + full,
+          x0_im + full, w_re + full, w_im + full, max_growth,
+          out_re + full, out_im + full, refused + full);
+    }
   }
   return refusals;
 }

@@ -6,8 +6,8 @@
 /// selects and contiguous loads/stores — and instantiated twice:
 ///
 ///   - `ScalarPack` (width 1): plain double arithmetic.  This is the
-///     differential twin every kernel is tested against, and the only
-///     pack on toolchains without `std::experimental::simd`.
+///     runtime scalar path of every kernel, and the only pack on
+///     toolchains without `std::experimental::simd`.
 ///   - `NativePack`: `std::experimental::simd<double>` at the hardware's
 ///     native width (8 on AVX-512, 4 on AVX2, 2 on SSE2).
 ///
@@ -21,12 +21,13 @@
 /// instantiation at runtime) so a mis-vectorization can be ruled out in
 /// the field without a rebuild.
 ///
-/// Both packs run the same formula per lane, so a wide kernel and its
-/// scalar twin agree bit-for-bit unless the optimizer contracts a
-/// multiply-add differently between the two instantiations — the
-/// differential suite in tests/test_simd.cpp pins the contract at
-/// <= 1e-12 relative (and empirically exact).  See src/linalg/README.md
-/// ("SIMD kernel contract") for alignment and remainder rules.
+/// Both packs run the same formula per lane, so a kernel's two
+/// instantiations agree bit-for-bit unless the optimizer contracts a
+/// multiply-add differently between them — the differential suite in
+/// tests/test_simd.cpp pins both against naive reference loops
+/// (tests/oracles.hpp) at <= 1e-12 relative (and empirically exact).
+/// See src/linalg/README.md ("SIMD kernel contract") for alignment and
+/// remainder rules.
 #pragma once
 
 #include <cmath>
@@ -289,8 +290,8 @@ template <typename P>
 
 /// A pack of complex numbers as split re/im planes — the SoA form every
 /// kernel uses.  Multiplication is the textbook 4-mul formula and
-/// division the unscaled conjugate formula z/w = z*conj(w)/|w|^2: both
-/// match sherman_morrison_sweep's scalar arithmetic, and the |w|^2
+/// division the unscaled conjugate formula z/w = z*conj(w)/|w|^2 (the
+/// arithmetic of sherman_morrison_sweep_simd at any width), and the |w|^2
 /// denominator overflows only beyond ~1e154 (MNA magnitudes are far
 /// smaller; the batched LU refuses pivots long before that).
 template <typename P>

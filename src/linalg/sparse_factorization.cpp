@@ -11,8 +11,8 @@ namespace ftdiag::linalg {
 
 namespace {
 
-/// Singularity threshold relative to the largest input entry (matches
-/// SparseLu and the dense LU).
+/// Singularity threshold relative to the largest input entry (matches the
+/// dense LU).
 constexpr double kPivotTolerance = 1e-13;
 
 /// Column-panel width of the blocked multi-RHS solve (same as lu.cpp).
@@ -66,10 +66,10 @@ SparseFactorization<T>::SparseFactorization(const CooMatrix<T>& a,
                 "pivot threshold must lie in (0, 1]");
   const std::size_t n = a.rows();
 
-  // --- Symbolic + first numeric pass: the same threshold-pivoted row-list
-  // elimination as SparseLu, with every entry — including exact zeros —
-  // retained, so the resulting pattern is a pure function of the input
-  // STRUCTURE and can be refilled with any same-pattern values.
+  // --- Symbolic + first numeric pass: a threshold-pivoted row-list
+  // elimination with every entry — including exact zeros — retained, so
+  // the resulting pattern is a pure function of the input STRUCTURE and
+  // can be refilled with any same-pattern values.
   struct RowEntry {
     std::size_t col;
     T value;
@@ -107,7 +107,7 @@ SparseFactorization<T>::SparseFactorization(const CooMatrix<T>& a,
           "singular matrix in sparse factorization at column %zu", k));
     }
     // Threshold pivoting: the sparsest numerically acceptable row wins
-    // (Markowitz-style fill control, identical to SparseLu).
+    // (Markowitz-style fill control).
     std::size_t pivot_row = kNpos;
     std::size_t pivot_len = kNpos;
     for (std::size_t r = k; r < n; ++r) {
@@ -329,7 +329,8 @@ void SparseFactorization<T>::solve_into(const Matrix<T>& b,
   for (std::size_t panel = 0; panel < m; panel += kSolvePanel) {
     const std::size_t pe = std::min(m, panel + kSolvePanel);
     // Forward substitution, all panel columns in lockstep; per column the
-    // operation order is exactly the single-RHS solve_into's.
+    // source order is the single-RHS solve_into's (see the header for why
+    // the results agree only to rounding).
     for (std::size_t r = first; r < n; ++r) {
       T* xr = x.row_data(r);
       for (std::size_t idx = sym.row_start[r]; idx < sym.diag[r]; ++idx) {

@@ -3,10 +3,10 @@
 /// allocation-free numeric refactorization per frequency point.
 ///
 /// The AC sweep factors the same sparsity pattern at every Laplace point —
-/// A(s) = G + s*C has a frequency-invariant structure.  `SparseLu` redoes
-/// the whole elimination (pivot search, fill discovery, row-list merges)
-/// per point; `SparseFactorization` splits the work the way every serious
-/// circuit simulator does:
+/// A(s) = G + s*C has a frequency-invariant structure, so instead of
+/// redoing the whole elimination (pivot search, fill discovery, row-list
+/// merges) per point, `SparseFactorization` splits the work the way every
+/// serious circuit simulator does:
 ///
 ///   1. **Symbolic phase** (construction): threshold-Markowitz pivoting
 ///      over dynamic row lists picks a fill-reducing, numerically
@@ -68,7 +68,12 @@ public:
   /// Blocked multi-RHS solve A X = B: every column advances through one
   /// forward/backward pass over the factor rows.  \p x is reshaped to b's
   /// shape when needed (no-op when already that shape).  Per column the
-  /// operation order is exactly solve_into's.
+  /// source performs solve_into's operations in the same order, but the
+  /// result is not bitwise solve_into's: the column loop vectorizes, and
+  /// gcc may fuse its complex multiply-subtract where the single-RHS loop
+  /// rounds the product separately.  The two agree to rounding (pinned to
+  /// 1e-11 by tests/test_sparse.cpp); only the dense LuFactorization
+  /// solves are bit-identical by construction.
   void solve_into(const Matrix<T>& b, Matrix<T>& x) const;
 
   /// Convenience single solve.

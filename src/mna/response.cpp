@@ -7,6 +7,20 @@
 
 namespace ftdiag::mna {
 
+void check_frequency_grid(std::span<const double> frequencies_hz,
+                          const std::string& what) {
+  for (std::size_t i = 0; i < frequencies_hz.size(); ++i) {
+    if (!std::isfinite(frequencies_hz[i])) {
+      throw ParseError(what + ": frequency " + std::to_string(i) +
+                       " is not finite");
+    }
+    if (i > 0 && frequencies_hz[i] < frequencies_hz[i - 1]) {
+      throw ParseError(what + ": frequencies must ascend (sample " +
+                       std::to_string(i) + ")");
+    }
+  }
+}
+
 AcResponse::AcResponse(std::vector<double> frequencies_hz,
                        std::vector<Complex> values)
     : freq_hz_(std::move(frequencies_hz)), values_(std::move(values)) {

@@ -103,4 +103,11 @@ private:
   linalg::simd::AlignedVector re_, im_;  ///< SoA planes (kernel view)
 };
 
+/// The grid invariant AcResponse asserts, checked on untrusted input:
+/// \throws ParseError (naming \p what) unless every frequency is finite
+/// and the list ascends.  Decoders of wire frames, CSV files and .fdx
+/// images call it before they construct a response.
+void check_frequency_grid(std::span<const double> frequencies_hz,
+                          const std::string& what);
+
 }  // namespace ftdiag::mna

@@ -55,6 +55,7 @@ mna::AcResponse get_response(ByteReader& reader) {
     const double im = reader.get_f64();
     values[i] = {re, im};
   }
+  mna::check_frequency_grid(freqs, "measured response");
   return mna::AcResponse(std::move(freqs), std::move(values));
 }
 

@@ -13,7 +13,7 @@
 ///
 /// The expensive artefact — the fault dictionary — is built lazily and
 /// cached process-wide behind `std::shared_ptr<const FaultDictionary>`:
-/// every Session (and legacy AtpgFlow) describing the same CUT + deviation
+/// every Session describing the same CUT + deviation
 /// grid shares one simulation pass, so concurrent flows, repeated queries
 /// and forked configurations never pay for fault simulation twice.
 #pragma once
@@ -64,8 +64,7 @@ using service::ServiceOptions;
     const circuits::CircuitUnderTest& cut, const faults::DeviationSpec& spec,
     const faults::SimOptions& sim);
 
-/// Typed configuration of the test-frequency search (replaces the old
-/// string-keyed AtpgConfig fields).
+/// Typed configuration of the test-frequency search.
 struct SearchOptions {
   /// Number of test frequencies in the vector (the paper uses 2).
   std::size_t n_frequencies = 2;

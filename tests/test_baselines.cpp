@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "per_genome.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::ga {
@@ -18,7 +19,7 @@ double bump(const std::vector<double>& genes) {
 TEST(RandomSearch, UsesExactBudget) {
   const RandomSearch rs(300);
   Rng rng(1);
-  const auto result = rs.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = rs.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_EQ(result.evaluations, 300u);
   EXPECT_GT(result.best.fitness, 0.3);
   EXPECT_FALSE(result.history.empty());
@@ -31,7 +32,7 @@ TEST(RandomSearch, ZeroBudgetRejected) {
 TEST(RandomSearch, BestNeverWorseThanAnyHistoryPoint) {
   const RandomSearch rs(512);
   Rng rng(2);
-  const auto result = rs.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = rs.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   for (const auto& h : result.history) {
     EXPECT_GE(result.best.fitness + 1e-12, h.best);
   }
@@ -40,7 +41,7 @@ TEST(RandomSearch, BestNeverWorseThanAnyHistoryPoint) {
 TEST(GridSearch, ExhaustiveOverTheBox) {
   const GridSearch grid(11);
   Rng rng(3);
-  const auto result = grid.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = grid.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_EQ(result.evaluations, 121u);
   // Grid point 3.0 exists exactly (0, 0.5, ..., 5.0).
   EXPECT_NEAR(result.best.genes[0], 3.0, 1e-12);
@@ -51,15 +52,15 @@ TEST(GridSearch, ExhaustiveOverTheBox) {
 TEST(GridSearch, DeterministicRegardlessOfRng) {
   const GridSearch grid(9);
   Rng rng_a(1), rng_b(999);
-  const auto a = grid.optimize(bump, 2, {0.0, 5.0}, rng_a);
-  const auto b = grid.optimize(bump, 2, {0.0, 5.0}, rng_b);
+  const auto a = grid.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng_a);
+  const auto b = grid.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng_b);
   EXPECT_EQ(a.best.genes, b.best.genes);
 }
 
 TEST(GridSearch, GuardsAgainstExplosion) {
   const GridSearch grid(2000);
   Rng rng(1);
-  EXPECT_THROW(grid.optimize(bump, 3, {0.0, 5.0}, rng), ConfigError);
+  EXPECT_THROW(grid.optimize(PerGenome(bump), 3, {0.0, 5.0}, rng), ConfigError);
 }
 
 TEST(GridSearch, TooFewPointsRejected) { EXPECT_THROW(GridSearch(1), ConfigError); }
@@ -67,7 +68,7 @@ TEST(GridSearch, TooFewPointsRejected) { EXPECT_THROW(GridSearch(1), ConfigError
 TEST(HillClimb, ConvergesOnSmoothObjective) {
   const HillClimb hc(2000, 8, 0.5);
   Rng rng(4);
-  const auto result = hc.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = hc.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_GT(result.best.fitness, 0.9);
   EXPECT_LE(result.evaluations, 2000u);
 }
@@ -81,7 +82,7 @@ TEST(HillClimb, InvalidParamsRejected) {
 TEST(SimulatedAnnealing, ConvergesOnSmoothObjective) {
   const SimulatedAnnealing sa(3000, 0.3, 0.995, 0.3);
   Rng rng(5);
-  const auto result = sa.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = sa.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_GT(result.best.fitness, 0.9);
   EXPECT_EQ(result.evaluations, 3000u);
 }
@@ -98,13 +99,13 @@ TEST(AllBaselines, RespectBoundsAndReportNames) {
   auto check = [&](const FrequencyOptimizer& opt) {
     Rng rng(6);
     const auto result = opt.optimize(
-        [&](const std::vector<double>& genes) {
+        PerGenome([&](const std::vector<double>& genes) {
           for (double g : genes) {
             EXPECT_GE(g, bounds.lo - 1e-12) << opt.name();
             EXPECT_LE(g, bounds.hi + 1e-12) << opt.name();
           }
           return bump(genes);
-        },
+        }),
         2, bounds, rng);
     EXPECT_FALSE(result.best.genes.empty()) << opt.name();
     EXPECT_FALSE(opt.name().empty());

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "circuits/nf_biquad.hpp"
+#include "io/binary.hpp"
+#include "io/mapped_file.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::io {
@@ -304,6 +306,34 @@ TEST_F(DictionaryIoTest, MalformedInputsRejected) {
                       ",,,0,100,1,0\n"
                       "OA1,opamp,zeta,0.1,100,1,0\n"),
       ParseError);
+}
+
+TEST_F(DictionaryIoTest, FrequenciesThatDescendAreRejected) {
+  // Regression: a descending grid used to reach the AcResponse invariant
+  // assert and abort the process instead of failing the load.
+  EXPECT_THROW(
+      load_dictionary("site,target,param,deviation,freq_hz,re,im\n"
+                      ",,,0,1000,1,0\n"
+                      ",,,0,100,0.9,0\n"
+                      "R1,value,,0.1,1000,1,0\n"
+                      "R1,value,,0.1,100,1,0\n"),
+      ParseError);
+
+  // The same in a binary image whose checksums are not verified (a
+  // re-sealed mutation gets that far too): the grid 100, 1000, 10000 Hz
+  // becomes 20000, 1000, 10000 Hz.
+  std::ostringstream os;
+  save_dictionary_binary(os, *dict_);
+  std::string bytes = os.str();
+  std::string from, to;
+  put_f64(from, 100.0);
+  put_f64(to, 20000.0);
+  const std::size_t at = bytes.find(from);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, to.size(), to);
+  EXPECT_THROW((void)parse_binary_dictionary_layout(bytes, false), ParseError);
+  EXPECT_THROW((void)DictionaryView::over(bytes, false), ParseError);
+  EXPECT_THROW((void)load_dictionary_binary(bytes), ParseError);
 }
 
 TEST_F(DictionaryIoTest, GridMismatchRejectedByFromParts) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "per_genome.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::ga {
@@ -69,7 +70,7 @@ TEST(GaConfig, SeedGenomeDimensionMismatchRejected) {
 
   const GeneticAlgorithm ga(c);
   Rng rng(1);
-  EXPECT_THROW((void)ga.optimize(bump, 2, {0.0, 5.0}, rng), ConfigError);
+  EXPECT_THROW((void)ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng), ConfigError);
 }
 
 TEST(Ga, FindsTheBumpOptimum) {
@@ -78,7 +79,7 @@ TEST(Ga, FindsTheBumpOptimum) {
   config.generations = 30;
   const GeneticAlgorithm ga(config);
   Rng rng(42);
-  const auto result = ga.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_GT(result.best.fitness, 0.95);
   EXPECT_NEAR(result.best.genes[0], 3.0, 0.3);
   EXPECT_NEAR(result.best.genes[1], 3.0, 0.3);
@@ -87,7 +88,7 @@ TEST(Ga, FindsTheBumpOptimum) {
 TEST(Ga, HistoryCoversEveryGeneration) {
   const GeneticAlgorithm ga(GaConfig::paper());
   Rng rng(1);
-  const auto result = ga.optimize(bump, 1, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 1, {0.0, 5.0}, rng);
   EXPECT_EQ(result.history.size(), 16u);  // initial + 15 generations
   EXPECT_EQ(result.history.front().generation, 0u);
   EXPECT_EQ(result.history.back().generation, 15u);
@@ -105,7 +106,7 @@ TEST(Ga, ElitismMakesBestMonotone) {
   config.elite_count = 2;
   const GeneticAlgorithm ga(config);
   Rng rng(5);
-  const auto result = ga.optimize(bump, 3, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 3, {0.0, 5.0}, rng);
   double prev = 0.0;
   for (const auto& g : result.history) {
     EXPECT_GE(g.best + 1e-12, prev);
@@ -116,8 +117,8 @@ TEST(Ga, ElitismMakesBestMonotone) {
 TEST(Ga, DeterministicPerSeed) {
   const GeneticAlgorithm ga(GaConfig::paper());
   Rng rng_a(7), rng_b(7);
-  const auto a = ga.optimize(bump, 2, {0.0, 5.0}, rng_a);
-  const auto b = ga.optimize(bump, 2, {0.0, 5.0}, rng_b);
+  const auto a = ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng_a);
+  const auto b = ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng_b);
   EXPECT_EQ(a.best.genes, b.best.genes);
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
@@ -129,7 +130,7 @@ TEST(Ga, TargetFitnessStopsEarly) {
   config.target_fitness = 0.5;
   const GeneticAlgorithm ga(config);
   Rng rng(3);
-  const auto result = ga.optimize(bump, 1, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 1, {0.0, 5.0}, rng);
   EXPECT_GE(result.best.fitness, 0.5);
   EXPECT_LT(result.history.size(), 101u);
 }
@@ -143,13 +144,13 @@ TEST(Ga, GenesStayWithinBounds) {
   Rng rng(11);
   const GeneBounds bounds{1.0, 2.0};
   const auto result = ga.optimize(
-      [&](const std::vector<double>& genes) {
+      PerGenome([&](const std::vector<double>& genes) {
         for (double g : genes) {
           EXPECT_GE(g, bounds.lo);
           EXPECT_LE(g, bounds.hi);
         }
         return bump(genes);
-      },
+      }),
       2, bounds, rng);
   for (double g : result.best.genes) {
     EXPECT_GE(g, bounds.lo);
@@ -164,7 +165,7 @@ TEST(Ga, EvaluationBudgetMatchesConfig) {
   config.reproduction_rate = 0.5;
   const GeneticAlgorithm ga(config);
   Rng rng(13);
-  const auto result = ga.optimize(bump, 1, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 1, {0.0, 5.0}, rng);
   // 50 initial + 10 * 25 offspring.
   EXPECT_EQ(result.evaluations, 50u + 10u * 25u);
 }
@@ -176,7 +177,7 @@ TEST(Ga, ZeroReproductionRateStillRuns) {
   config.reproduction_rate = 0.0;  // pure survival
   const GeneticAlgorithm ga(config);
   Rng rng(17);
-  const auto result = ga.optimize(bump, 1, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 1, {0.0, 5.0}, rng);
   EXPECT_EQ(result.evaluations, 16u);  // only the initial population
 }
 
@@ -189,7 +190,7 @@ TEST(Ga, SeedGenomesEnterTheInitialPopulation) {
   config.seed_genomes = {{3.0, 3.0}};
   const GeneticAlgorithm ga(config);
   Rng rng(23);
-  const auto result = ga.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_DOUBLE_EQ(result.best.fitness, 1.0);
   EXPECT_DOUBLE_EQ(result.best.genes[0], 3.0);
   EXPECT_DOUBLE_EQ(result.best.genes[1], 3.0);
@@ -203,11 +204,11 @@ TEST(Ga, SeedGenomesClampedToBounds) {
   const GeneticAlgorithm ga(config);
   Rng rng(29);
   const auto result = ga.optimize(
-      [&](const std::vector<double>& genes) {
+      PerGenome([&](const std::vector<double>& genes) {
         EXPECT_GE(genes[0], 1.0);
         EXPECT_LE(genes[1], 2.0);
         return bump(genes);
-      },
+      }),
       2, {1.0, 2.0}, rng);
   (void)result;
 }
@@ -221,7 +222,7 @@ TEST(Ga, ExcessSeedsAreDropped) {
   }
   const GeneticAlgorithm ga(config);
   Rng rng(31);
-  const auto result = ga.optimize(bump, 1, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 1, {0.0, 5.0}, rng);
   // 4 initial (seeded) + 2 offspring.
   EXPECT_EQ(result.history.front().evaluations, 4u);
 }
@@ -234,7 +235,7 @@ TEST(Ga, TournamentVariantAlsoConverges) {
   config.crossover = CrossoverKind::kBlend;
   const GeneticAlgorithm ga(config);
   Rng rng(19);
-  const auto result = ga.optimize(bump, 2, {0.0, 5.0}, rng);
+  const auto result = ga.optimize(PerGenome(bump), 2, {0.0, 5.0}, rng);
   EXPECT_GT(result.best.fitness, 0.9);
 }
 

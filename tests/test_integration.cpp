@@ -8,10 +8,10 @@
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
 #include "core/ambiguity.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "faults/fault_injector.hpp"
 #include "mna/ac_analysis.hpp"
+#include "session.hpp"
 
 namespace ftdiag {
 namespace {
@@ -19,26 +19,26 @@ namespace {
 class PaperFlowTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    flow_ = new core::AtpgFlow(circuits::make_paper_cut());
-    result_ = new core::AtpgResult(flow_->run());
+    session_ = new Session(SessionBuilder(circuits::make_paper_cut()).build());
+    result_ = new TestGenResult(session_->run_search());
   }
   static void TearDownTestSuite() {
     delete result_;
-    delete flow_;
+    delete session_;
     result_ = nullptr;
-    flow_ = nullptr;
+    session_ = nullptr;
   }
-  static core::AtpgFlow* flow_;
-  static core::AtpgResult* result_;
+  static Session* session_;
+  static TestGenResult* result_;
 };
 
-core::AtpgFlow* PaperFlowTest::flow_ = nullptr;
-core::AtpgResult* PaperFlowTest::result_ = nullptr;
+Session* PaperFlowTest::session_ = nullptr;
+TestGenResult* PaperFlowTest::result_ = nullptr;
 
 TEST_F(PaperFlowTest, DictionaryMatchesPaperSpec) {
   // 7 passives x 8 deviations (60%..140% in 10% steps, nominal excluded).
-  EXPECT_EQ(flow_->dictionary().fault_count(), 56u);
-  EXPECT_EQ(flow_->dictionary().site_labels().size(), 7u);
+  EXPECT_EQ(session_->dictionary()->fault_count(), 56u);
+  EXPECT_EQ(session_->dictionary()->site_labels().size(), 7u);
 }
 
 TEST_F(PaperFlowTest, GaAchievesZeroIntersections) {
@@ -49,8 +49,8 @@ TEST_F(PaperFlowTest, GaAchievesZeroIntersections) {
 TEST_F(PaperFlowTest, TestVectorHasTwoFrequenciesInBand) {
   ASSERT_EQ(result_->best.vector.frequencies_hz.size(), 2u);
   for (double f : result_->best.vector.frequencies_hz) {
-    EXPECT_GE(f, flow_->cut().band_low_hz);
-    EXPECT_LE(f, flow_->cut().band_high_hz);
+    EXPECT_GE(f, session_->cut().band_low_hz);
+    EXPECT_LE(f, session_->cut().band_high_hz);
   }
 }
 
@@ -58,7 +58,7 @@ TEST_F(PaperFlowTest, CleanDiagnosisAccuracyAboveNinetyPercent) {
   core::EvaluationOptions options;
   options.trials = 300;
   const auto report = core::evaluate_diagnosis(
-      flow_->cut(), flow_->dictionary(), result_->best.vector,
+      session_->cut(), *session_->dictionary(), result_->best.vector,
       core::SamplingPolicy{}, options);
   EXPECT_GT(report.site_accuracy, 0.90);
   EXPECT_GT(report.top2_accuracy, 0.97);
@@ -68,17 +68,17 @@ TEST_F(PaperFlowTest, CleanDiagnosisAccuracyAboveNinetyPercent) {
 TEST_F(PaperFlowTest, OptimizedVectorBeatsNaiveVector) {
   // A naive vector (two near-identical low frequencies) must not out-score
   // the GA's choice, and should diagnose worse.
-  const auto naive_score = flow_->score({{15.0, 18.0}});
+  const auto naive_score = session_->score({{15.0, 18.0}});
   EXPECT_LE(naive_score.fitness, result_->best.fitness);
 
   core::EvaluationOptions options;
   options.trials = 200;
   options.noise_sigma = 0.005;
   const auto naive_report = core::evaluate_diagnosis(
-      flow_->cut(), flow_->dictionary(), {{15.0, 18.0}},
+      session_->cut(), *session_->dictionary(), {{15.0, 18.0}},
       core::SamplingPolicy{}, options);
   const auto best_report = core::evaluate_diagnosis(
-      flow_->cut(), flow_->dictionary(), result_->best.vector,
+      session_->cut(), *session_->dictionary(), result_->best.vector,
       core::SamplingPolicy{}, options);
   EXPECT_GT(best_report.site_accuracy, naive_report.site_accuracy);
 }
@@ -86,15 +86,15 @@ TEST_F(PaperFlowTest, OptimizedVectorBeatsNaiveVector) {
 TEST_F(PaperFlowTest, UnknownOffGridFaultDiagnosedLikeFig3) {
   // The paper's Fig. 3 demo: an unknown fault (off the 10% grid) lands
   // nearest to its own component's trajectory.
-  const auto engine = flow_->evaluator().make_engine(result_->best.vector);
+  const auto engine = session_->evaluator().make_engine(result_->best.vector);
   const faults::ParametricFault unknown{faults::FaultSite::value_of("R3"),
                                         0.23};
-  const auto faulty = faults::inject(flow_->cut().circuit, unknown);
+  const auto faulty = faults::inject(session_->cut().circuit, unknown);
   mna::AcAnalysis analysis(faulty);
   const auto measured =
       analysis.sweep(result_->best.vector.frequencies_hz,
-                     flow_->cut().output_node);
-  const auto observed = flow_->evaluator().sampler().sample(
+                     session_->cut().output_node);
+  const auto observed = session_->evaluator().sampler().sample(
       measured, result_->best.vector.frequencies_hz);
   const auto diagnosis = engine.diagnose(observed);
   EXPECT_EQ(diagnosis.best().site, "R3");
@@ -103,7 +103,7 @@ TEST_F(PaperFlowTest, UnknownOffGridFaultDiagnosedLikeFig3) {
 
 TEST_F(PaperFlowTest, TrajectoriesSmoothAndThroughOrigin) {
   const auto trajectories =
-      flow_->evaluator().trajectories(result_->best.vector);
+      session_->evaluator().trajectories(result_->best.vector);
   for (const auto& t : trajectories) {
     EXPECT_EQ(t.point_count(), 9u);
     bool has_origin = false;
@@ -117,18 +117,20 @@ TEST_F(PaperFlowTest, TrajectoriesSmoothAndThroughOrigin) {
 TEST(RegistryFlow, EveryCircuitSupportsTheFullPipeline) {
   // The method must run end-to-end on every registry circuit (a smaller GA
   // keeps this test quick).  Fitness saturation differs per topology.
-  core::AtpgConfig config;
-  config.ga.population_size = 24;
-  config.ga.generations = 4;
+  SearchOptions search;
+  search.ga.population_size = 24;
+  search.ga.generations = 4;
   for (const auto& name : circuits::registry_names()) {
     SCOPED_TRACE(name);
-    core::AtpgFlow flow(circuits::make_by_name(name), config);
-    const auto result = flow.run();
+    const Session session =
+        SessionBuilder(circuits::make_by_name(name)).search(search).build();
+    const auto result = session.run_search();
     EXPECT_GT(result.best.fitness, 0.0);
     EXPECT_EQ(result.best.vector.frequencies_hz.size(), 2u);
-    const auto groups = core::find_ambiguity_groups(flow.dictionary());
+    const auto dictionary = session.dictionary();
+    const auto groups = core::find_ambiguity_groups(*dictionary);
     EXPECT_GE(groups.size(), 1u);
-    EXPECT_LE(groups.size(), flow.dictionary().site_labels().size());
+    EXPECT_LE(groups.size(), dictionary->site_labels().size());
   }
 }
 

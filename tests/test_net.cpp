@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -169,6 +170,44 @@ TEST(WireCodec, HostileCountsRejectedBeforeAllocation) {
   for (std::size_t keep = 0; keep < whole.size(); keep += 7) {
     EXPECT_THROW((void)decode_diagnose(whole.substr(0, keep)), ParseError);
   }
+}
+
+/// A diagnose payload whose measured response lists \p first then
+/// \p second as its frequencies: bytes a peer can send although
+/// AcResponse would never hold them when they descend or are not finite.
+std::string payload_with_measured_frequencies(double first, double second) {
+  service::DiagnosisRequest request;
+  request.circuit = "paper";
+  request.measured.push_back(mna::AcResponse(
+      {100.0, 1000.0}, {mna::Complex(1.0, 0.0), mna::Complex(0.5, 0.0)}));
+  std::string payload = encode_diagnose(7, request);
+  const auto patch = [&payload](double from, double to) {
+    std::string from_bytes, to_bytes;
+    io::put_f64(from_bytes, from);
+    io::put_f64(to_bytes, to);
+    const std::size_t at = payload.find(from_bytes);
+    EXPECT_NE(at, std::string::npos);
+    payload.replace(at, to_bytes.size(), to_bytes);
+  };
+  patch(1000.0, second);
+  patch(100.0, first);
+  return payload;
+}
+
+TEST(WireCodec, MeasuredFrequenciesMustAscendAndBeFinite) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(
+      (void)decode_diagnose(payload_with_measured_frequencies(100.0, 1000.0)));
+  EXPECT_THROW(
+      (void)decode_diagnose(payload_with_measured_frequencies(1000.0, 100.0)),
+      ParseError);
+  EXPECT_THROW(
+      (void)decode_diagnose(payload_with_measured_frequencies(kNan, 1000.0)),
+      ParseError);
+  EXPECT_THROW(
+      (void)decode_diagnose(payload_with_measured_frequencies(100.0, kInf)),
+      ParseError);
 }
 
 // -------------------------------------------------------------- loopback
@@ -429,6 +468,50 @@ TEST_F(NetLoopbackTest, MidFrameDisconnectLeavesServerServing) {
   const service::DiagnosisReply reply = client.diagnose(request);
   ASSERT_EQ(reply.results.size(), 1u);
   expect_same(reply.results.front(), (*serial_)[1]);
+}
+
+TEST_F(NetLoopbackTest, DescendingMeasuredFrequenciesGetErrorFrame) {
+  // Regression: a well-formed frame whose measured response descends in
+  // frequency used to reach the AcResponse invariant assert and abort the
+  // server.  It must cost one error frame, and the ledger must balance.
+  // A dedicated server keeps the other tests' traffic out of it.
+  service::DiagnosisService service;
+  service.add_session("paper", *session_);
+  ServerOptions options;
+  options.port = 0;
+  Server server(service, options);
+  {
+    Socket socket = connect_tcp("127.0.0.1", server.port());
+    socket.send_all(encode_frame(
+        MessageType::kDiagnose,
+        payload_with_measured_frequencies(1000.0, 100.0)));
+    const auto frame = read_raw(socket);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->first.type,
+              static_cast<std::uint8_t>(MessageType::kError));
+  }
+  {
+    // The server is still serving.
+    Client client("127.0.0.1", server.port());
+    service::DiagnosisRequest request;
+    request.circuit = "paper";
+    request.points.push_back((*points_)[2]);
+    const service::DiagnosisReply reply = client.diagnose(request);
+    ASSERT_EQ(reply.results.size(), 1u);
+    expect_same(reply.results.front(), (*serial_)[2]);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().connections_open > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_received, 2u);
+  EXPECT_EQ(stats.replies_sent, 1u);
+  EXPECT_EQ(stats.error_frames_sent, 1u);
+  EXPECT_EQ(stats.requests_received,
+            stats.replies_sent + stats.error_frames_sent);
 }
 
 TEST_F(NetLoopbackTest, StatsCountTheTraffic) {

@@ -119,7 +119,7 @@ TEST_P(RandomRcNetworkTest, SparseAndDenseSolversAgree) {
 
   const auto dense = linalg::LuFactorization<mna::Complex>(matrix.to_dense())
                          .solve(rhs);
-  const auto sparse = linalg::SparseLu<mna::Complex>(matrix).solve(rhs);
+  const auto sparse = linalg::SparseFactorization<mna::Complex>(matrix).solve(rhs);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(std::abs(dense[i] - sparse[i]), 0.0, 1e-8);
   }

@@ -1,9 +1,10 @@
 /// Property and differential tests of the SIMD kernel layer
 /// (src/linalg/simd.hpp and its consumers): pack operations lane by lane
 /// against plain doubles, the Sherman–Morrison sweep against its scalar
-/// twin at every remainder shape and alignment offset, the batched LU
-/// against the scalar dense LU, the sparse zero-prefix skip against the
-/// dense solve, and diagnose() against diagnose_scalar().  The whole file
+/// oracle (tests/oracles.hpp) at every remainder shape and alignment
+/// offset, the batched LU against the scalar dense LU, the sparse
+/// zero-prefix skip against the dense solve, and diagnose() against the
+/// oracle's per-segment project_point() loop.  The whole file
 /// also runs in the FTDIAG_SIMD=OFF build, where DefaultPack is
 /// ScalarPack — the forced-scalar configuration must satisfy the same
 /// contracts.
@@ -24,6 +25,7 @@
 #include "linalg/simd.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_factorization.hpp"
+#include "oracles.hpp"
 
 namespace ftdiag {
 namespace {
@@ -35,7 +37,7 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Relative bound the SIMD kernel contract guarantees against the scalar
-/// twin (src/linalg/README.md); empirically the values are bit-equal.
+/// oracle (src/linalg/README.md); empirically the values are bit-equal.
 constexpr double kKernelRelTol = 1e-12;
 
 void expect_rel_close(double a, double b, const std::string& context) {
@@ -171,7 +173,7 @@ TEST(SimdPacks, ComplexPackMatchesStdComplex) {
   cpack_case<simd::DefaultPack>();
 }
 
-// ----------------------------------------- Sherman–Morrison sweep twin
+// --------------------------------------- Sherman–Morrison sweep oracle
 
 /// One randomized split-plane input set of length \p count, with a few
 /// NaN/Inf scales and near-singular denominators mixed in to exercise the
@@ -224,7 +226,7 @@ void sweep_twin_case(std::size_t count, unsigned seed, double max_growth) {
   std::vector<double> out_re_b(count, kSentinel), out_im_b(count, kSentinel);
   std::vector<unsigned char> refused_a(count, 9), refused_b(count, 9);
 
-  const std::size_t ra = linalg::sherman_morrison_sweep(
+  const std::size_t ra = oracle::sherman_morrison_sweep(
       count, in.scale_re.data(), in.scale_im.data(), in.vx0_re.data(),
       in.vx0_im.data(), in.vw_re.data(), in.vw_im.data(), in.x0_re.data(),
       in.x0_im.data(), in.w_re.data(), in.w_im.data(), max_growth,
@@ -267,14 +269,14 @@ TEST(ShermanMorrisonSweepSimd, MatchesScalarTwinAtEveryRemainderShape) {
 
 TEST(ShermanMorrisonSweepSimd, MatchesScalarTwinAtUnalignedOffsets) {
   // The kernel must accept pointers at any 8-byte boundary: offset every
-  // plane by one double and compare against the scalar twin on the same
+  // plane by one double and compare against the scalar oracle on the same
   // offset views.
   constexpr std::size_t kCount = 37;
   SweepInput in(kCount + 1, 42);
   std::vector<double> out_re_a(kCount, 0.0), out_im_a(kCount, 0.0);
   std::vector<double> out_re_b(kCount, 0.0), out_im_b(kCount, 0.0);
   std::vector<unsigned char> refused_a(kCount, 0), refused_b(kCount, 0);
-  const std::size_t ra = linalg::sherman_morrison_sweep(
+  const std::size_t ra = oracle::sherman_morrison_sweep(
       kCount, in.scale_re.data() + 1, in.scale_im.data() + 1,
       in.vx0_re.data() + 1, in.vx0_im.data() + 1, in.vw_re.data() + 1,
       in.vw_im.data() + 1, in.x0_re.data() + 1, in.x0_im.data() + 1,
@@ -448,7 +450,7 @@ TEST(SparsePrefixSkip, MatchesDenseSolveOnSparseRhs) {
   }
 }
 
-// ---------------------------------------------- diagnose vs scalar twin
+// -------------------------------------------- diagnose vs scalar oracle
 
 TEST(DiagnoseSimd, MatchesScalarDiagnoseOnRandomTrajectories) {
   std::mt19937_64 rng(2026);
@@ -473,7 +475,7 @@ TEST(DiagnoseSimd, MatchesScalarDiagnoseOnRandomTrajectories) {
     core::Point observed(dim);
     for (double& x : observed) x = dist(rng);
     const core::Diagnosis wide = engine.diagnose(observed);
-    const core::Diagnosis scalar = engine.diagnose_scalar(observed);
+    const core::Diagnosis scalar = oracle::diagnose(engine, observed);
     ASSERT_EQ(wide.ranking.size(), scalar.ranking.size());
     for (std::size_t i = 0; i < wide.ranking.size(); ++i) {
       const std::string at = "trial " + std::to_string(trial) + " rank " +

@@ -155,7 +155,7 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
   const std::size_t before =
       g_allocation_count.load(std::memory_order_relaxed);
   for (std::size_t fi = 0; fi < f_count; ++fi) sweep_point(fi);
-  const std::size_t refusals = linalg::sherman_morrison_sweep(
+  const std::size_t refusals = linalg::sherman_morrison_sweep_simd<>(
       f_count, scale_re.data(), scale_im.data(), vx0_re.data(),
       vx0_im.data(), vw_re.data(), vw_im.data(), x0_re.data(),
       x0_im.data(), w_re.data(), w_im.data(), linalg::kRank1MaxGrowth,
